@@ -1,0 +1,176 @@
+package main
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+)
+
+// This file is a verbatim copy of the program generator in
+// internal/jit/fuzz_test.go (from its progGen type through
+// generateProgram), which lives in a test file and so cannot be imported.
+// The execute-unique workload draws its programs from it. Replace it with
+// the shared generator once one is promoted out of the test file.
+//
+// A generator of random well-typed Jolt programs, used to differential-test
+// the whole pipeline (front end → bytecode → interpreter vs JIT → machine
+// code → simulator, under every scheduling protocol). Programs are built
+// from templates guaranteeing termination: counted loops only, bounded
+// depth, and divisors offset away from zero.
+
+type progGen struct {
+	r     *rand.Rand
+	b     strings.Builder
+	nInts int
+	nFlts int
+	nArrs int
+}
+
+func (g *progGen) intVar() string { return fmt.Sprintf("i%d", g.r.Intn(g.nInts)) }
+func (g *progGen) fltVar() string { return fmt.Sprintf("f%d", g.r.Intn(g.nFlts)) }
+func (g *progGen) arrVar() string { return fmt.Sprintf("a%d", g.r.Intn(g.nArrs)) }
+
+// intExpr emits a side-effect-free int expression of bounded depth.
+func (g *progGen) intExpr(depth int) string {
+	if depth <= 0 || g.r.Intn(3) == 0 {
+		switch g.r.Intn(3) {
+		case 0:
+			return fmt.Sprintf("%d", g.r.Intn(100))
+		case 1:
+			return g.intVar()
+		default:
+			return fmt.Sprintf("%s[%d]", g.arrVar(), g.r.Intn(8))
+		}
+	}
+	a, b := g.intExpr(depth-1), g.intExpr(depth-1)
+	switch g.r.Intn(8) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 1:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s * %s)", a, b)
+	case 3:
+		// Offset divisor away from zero.
+		return fmt.Sprintf("(%s / ((%s & 63) + 1))", a, b)
+	case 4:
+		return fmt.Sprintf("(%s %% ((%s & 63) + 1))", a, b)
+	case 5:
+		return fmt.Sprintf("(%s ^ %s)", a, b)
+	case 6:
+		return fmt.Sprintf("(%s & %s)", a, b)
+	default:
+		return fmt.Sprintf("(%s << (%s & 7))", a, b)
+	}
+}
+
+// fltExpr emits a float expression kept roughly bounded (division offsets
+// its divisor; no exponential growth within a statement matters for
+// equality since both executions are bit-identical).
+func (g *progGen) fltExpr(depth int) string {
+	if depth <= 0 || g.r.Intn(3) == 0 {
+		switch g.r.Intn(3) {
+		case 0:
+			return fmt.Sprintf("%d.%d", g.r.Intn(10), g.r.Intn(100))
+		case 1:
+			return g.fltVar()
+		default:
+			return fmt.Sprintf("float(%s)", g.intVar())
+		}
+	}
+	a, b := g.fltExpr(depth-1), g.fltExpr(depth-1)
+	switch g.r.Intn(4) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 1:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s * 0.5 + %s * 0.25)", a, b)
+	default:
+		return fmt.Sprintf("(%s / (%s * %s + 1.5))", a, b, b)
+	}
+}
+
+func (g *progGen) cond() string {
+	switch g.r.Intn(3) {
+	case 0:
+		return fmt.Sprintf("(%s < %s)", g.intExpr(1), g.intExpr(1))
+	case 1:
+		return fmt.Sprintf("(%s >= %s)", g.fltVar(), g.fltVar())
+	default:
+		return fmt.Sprintf("(%s == %s && %s != %s)",
+			g.intVar(), g.intVar(), g.intExpr(1), g.intExpr(1))
+	}
+}
+
+func (g *progGen) stmt(depth, indent int) {
+	pad := strings.Repeat("  ", indent)
+	switch g.r.Intn(7) {
+	case 0:
+		fmt.Fprintf(&g.b, "%s%s = %s;\n", pad, g.intVar(), g.intExpr(2))
+	case 1:
+		fmt.Fprintf(&g.b, "%s%s = %s;\n", pad, g.fltVar(), g.fltExpr(2))
+	case 2:
+		fmt.Fprintf(&g.b, "%s%s[%d] = %s;\n", pad, g.arrVar(), g.r.Intn(8), g.intExpr(2))
+	case 3:
+		if depth > 0 {
+			fmt.Fprintf(&g.b, "%sif %s {\n", pad, g.cond())
+			g.stmt(depth-1, indent+1)
+			fmt.Fprintf(&g.b, "%s} else {\n", pad)
+			g.stmt(depth-1, indent+1)
+			fmt.Fprintf(&g.b, "%s}\n", pad)
+		} else {
+			fmt.Fprintf(&g.b, "%s%s = %s;\n", pad, g.intVar(), g.intExpr(1))
+		}
+	case 4:
+		if depth > 0 {
+			loopVar := fmt.Sprintf("k%d%d", depth, indent)
+			fmt.Fprintf(&g.b, "%sfor (var %s int = 0; %s < %d; %s = %s + 1) {\n",
+				pad, loopVar, loopVar, 2+g.r.Intn(10), loopVar, loopVar)
+			g.stmt(depth-1, indent+1)
+			fmt.Fprintf(&g.b, "%s}\n", pad)
+		} else {
+			fmt.Fprintf(&g.b, "%s%s = %s;\n", pad, g.fltVar(), g.fltExpr(1))
+		}
+	case 5:
+		fmt.Fprintf(&g.b, "%s%s = helper(%s, %s);\n", pad, g.intVar(), g.intExpr(1), g.intExpr(1))
+	default:
+		fmt.Fprintf(&g.b, "%sprint(%s);\n", pad, g.intExpr(1))
+	}
+}
+
+// generate builds a complete program.
+func generateProgram(seed int64) string {
+	r := rand.New(rand.NewSource(seed))
+	g := &progGen{r: r, nInts: 4, nFlts: 3, nArrs: 2}
+
+	g.b.WriteString("func helper(x int, y int) int { return (x * 31 + y) & 65535; }\n")
+	g.b.WriteString("func main() int {\n")
+	for i := 0; i < g.nInts; i++ {
+		fmt.Fprintf(&g.b, "  var i%d int = %d;\n", i, r.Intn(50))
+	}
+	for i := 0; i < g.nFlts; i++ {
+		fmt.Fprintf(&g.b, "  var f%d float = %d.%d;\n", i, r.Intn(5), r.Intn(100))
+	}
+	for i := 0; i < g.nArrs; i++ {
+		fmt.Fprintf(&g.b, "  var a%d int[] = new int[8];\n", i)
+	}
+	nStmts := 4 + r.Intn(10)
+	for s := 0; s < nStmts; s++ {
+		g.stmt(2, 1)
+	}
+	// Checksum everything live.
+	g.b.WriteString("  var sum int = 0;\n")
+	for i := 0; i < g.nInts; i++ {
+		fmt.Fprintf(&g.b, "  sum = (sum * 31 + i%d) & 16777215;\n", i)
+	}
+	for i := 0; i < g.nFlts; i++ {
+		fmt.Fprintf(&g.b, "  sum = (sum * 31 + int(f%d * 100.0)) & 16777215;\n", i)
+	}
+	for i := 0; i < g.nArrs; i++ {
+		fmt.Fprintf(&g.b, "  for (var q%d int = 0; q%d < 8; q%d = q%d + 1) { sum = (sum * 7 + a%d[q%d]) & 16777215; }\n",
+			i, i, i, i, i, i)
+	}
+	g.b.WriteString("  return sum;\n}\n")
+	return g.b.String()
+}
