@@ -27,13 +27,14 @@ import (
 const (
 	// GlobalBase is where global slot 0 lives; r2 points here.
 	GlobalBase = 16
-	// DefaultMemWords is the default memory size (32 MiB).
+	// DefaultMemWords is the default size of the address space (32 MiB).
+	// Memory is paged, so only the pages a run stores to are resident.
 	DefaultMemWords = 1 << 22
 )
 
 // Config controls a run.
 type Config struct {
-	// MemWords sizes the flat word-addressed memory; 0 means
+	// MemWords sizes the word-addressed memory; 0 means
 	// DefaultMemWords.
 	MemWords int
 	// Timed enables the cycle pipeline (requires Model).
@@ -92,21 +93,20 @@ type State struct {
 	Regs  [ir.NumGPR]int64
 	FRegs [ir.NumFPR]float64
 	CRs   [ir.NumCond]int8
-	Mem   []uint64
 
-	// Guard results: guards are virtual, unbounded; stored sparsely.
-	// Functionally they carry nothing, but keeping the map allows
-	// debugging assertions.
+	mem     memory
 	heapPtr int64
 	out     []string
 }
 
-// NewState allocates a zeroed machine state with the given memory size.
+// NewState returns a zeroed machine state with the given memory size.
+// A memory page is allocated only when a non-zero word is first stored
+// to it.
 func NewState(memWords int) *State {
 	if memWords <= 0 {
 		memWords = DefaultMemWords
 	}
-	s := &State{Mem: make([]uint64, memWords)}
+	s := &State{mem: newMemory(memWords)}
 	s.heapPtr = GlobalBase // heap starts after globals once layout is known
 	return s
 }
@@ -114,13 +114,13 @@ func NewState(memWords int) *State {
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
 	c := *s
-	c.Mem = append([]uint64(nil), s.Mem...)
+	c.mem = s.mem.clone()
 	c.out = append([]string(nil), s.out...)
 	return &c
 }
 
 // Equal reports whether two states have identical registers and memory.
-// Guard and output history are excluded.
+// Output history is excluded.
 func (s *State) Equal(o *State) bool {
 	if s.Regs != o.Regs || s.CRs != o.CRs {
 		return false
@@ -131,15 +131,7 @@ func (s *State) Equal(o *State) bool {
 			return false
 		}
 	}
-	if len(s.Mem) != len(o.Mem) {
-		return false
-	}
-	for i := range s.Mem {
-		if s.Mem[i] != o.Mem[i] {
-			return false
-		}
-	}
-	return true
+	return s.mem.equal(&o.mem)
 }
 
 type frame struct {
@@ -168,7 +160,7 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	// Layout: globals at GlobalBase, heap after, stack at the top.
 	st.heapPtr = int64(GlobalBase + p.Globals)
 	st.Regs[2] = GlobalBase
-	st.Regs[1] = int64(len(st.Mem))
+	st.Regs[1] = st.mem.words
 
 	var issue *machine.IssueState
 	if cfg.Timed {
@@ -449,10 +441,8 @@ func (s *State) step(in *ir.Instr, fnName string) error {
 		if addr+n+1 >= s.Regs[1] {
 			return &Trap{Fn: fnName, Kind: "out of memory"}
 		}
-		s.Mem[addr] = uint64(n)
-		for i := int64(1); i <= n; i++ {
-			s.Mem[addr+i] = 0
-		}
+		s.mem.set(addr, uint64(n))
+		s.mem.clear(addr+1, addr+n+1)
 		s.heapPtr = addr + n + 1
 		setI(addr)
 	case ir.NULLCHECK:
@@ -474,17 +464,17 @@ func (s *State) step(in *ir.Instr, fnName string) error {
 }
 
 func (s *State) load(addr int64, fnName string) (uint64, error) {
-	if addr <= 0 || addr >= int64(len(s.Mem)) {
+	if addr <= 0 || addr >= s.mem.words {
 		return 0, &Trap{Fn: fnName, Kind: fmt.Sprintf("bad load address %d", addr)}
 	}
-	return s.Mem[addr], nil
+	return s.mem.get(addr), nil
 }
 
 func (s *State) store(addr int64, v uint64, fnName string) error {
-	if addr <= 0 || addr >= int64(len(s.Mem)) {
+	if addr <= 0 || addr >= s.mem.words {
 		return &Trap{Fn: fnName, Kind: fmt.Sprintf("bad store address %d", addr)}
 	}
-	s.Mem[addr] = v
+	s.mem.set(addr, v)
 	return nil
 }
 

@@ -211,8 +211,8 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 		for i := range st1.FRegs {
 			st1.FRegs[i] = r.Float64() * 100
 		}
-		for i := range st1.Mem {
-			st1.Mem[i] = uint64(r.Int63n(1 << 30))
+		for i := int64(0); i < st1.mem.words; i++ {
+			st1.mem.set(i, uint64(r.Int63n(1<<30)))
 		}
 		st2 := st1.Clone()
 
@@ -234,11 +234,11 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 func TestStateCloneIndependent(t *testing.T) {
 	st := NewState(32)
 	st.Regs[5] = 7
-	st.Mem[10] = 11
+	st.mem.set(10, 11)
 	c := st.Clone()
 	c.Regs[5] = 99
-	c.Mem[10] = 99
-	if st.Regs[5] != 7 || st.Mem[10] != 11 {
+	c.mem.set(10, 99)
+	if st.Regs[5] != 7 || st.mem.get(10) != 11 {
 		t.Error("Clone shares storage")
 	}
 	if st.Equal(c) {
